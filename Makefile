@@ -47,21 +47,22 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -short .
 
-# Analysis-kernel and service-cache benchmarks: parallel vs serial
-# Profile/ComputeCriticalPath and warm vs cold pdt-tad summary (the
+# Analysis-kernel and service-cache benchmarks: the structural
+# validator, parallel vs serial Profile/ComputeCriticalPath and warm vs
+# cold pdt-tad summary (the
 # warm/cold split is the cache speedup recorded in EXPERIMENTS.md).
 bench-analysis:
-	$(GO) test -run '^$$' -bench 'BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 10x .
 	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 10x ./cmd/pdt-tad
 
 # One -short pass of the same benchmarks for ci: catches kernel/cache
 # regressions that only show up under -bench without the full cost.
 bench-analysis-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 1x -short .
+	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 1x -short .
 	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 1x -short ./cmd/pdt-tad
 
 # Benchmark regression gate: run the reference benchmarks (trace load,
-# interval profile, critical path, gap hunting, trace differencing,
+# structural validation, interval profile, critical path, gap hunting, trace differencing,
 # cycle detection, align-mode cycle diffing, end-to-end TAD summary)
 # with -benchmem and fail on any ns/op, B/op or
 # allocs/op result >25% worse than BENCH_baseline.json. The short

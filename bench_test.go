@@ -275,6 +275,20 @@ func BenchmarkProfileLargeTrace(b *testing.B) {
 	})
 }
 
+// BenchmarkValidateLargeTrace measures the structural validator: one
+// scan of the ID/Core/Global/Run columns with per-core array state.
+func BenchmarkValidateLargeTrace(b *testing.B) {
+	tr := largeTrace(b)
+	if issues := analyzer.Validate(tr); len(issues) != 0 {
+		b.Fatalf("benchmark trace is not clean: %v", issues)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.Validate(tr)
+	}
+}
+
 // BenchmarkCritPathLargeTrace measures critical-path extraction: the
 // sharded predecessor/dependency scans against the serial reference (the
 // backward walk is shared and serial in both).

@@ -23,6 +23,10 @@ import (
 //   - multipart/form-data with parts named "a" and "b" (curl -F a=@x.pdt
 //     -F b=@y.pdt), and
 //   - a JSON document {"a": "<base64>", "b": "<base64>"}.
+//
+// Multipart sides are read into one arena sized to the body: decoded
+// parts never outgrow the bytes they came from, so the arena is
+// allocated once and never regrown.
 func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 	ct := r.Header.Get("Content-Type")
 	mt, params, _ := mime.ParseMediaType(ct)
@@ -32,6 +36,7 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 			return nil, nil, errors.New("multipart body without boundary")
 		}
 		mr := multipart.NewReader(bytes.NewReader(data), boundary)
+		arena := make([]byte, 0, len(data))
 		for {
 			part, err := mr.NextPart()
 			if err == io.EOF {
@@ -40,15 +45,19 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("reading multipart body: %w", err)
 			}
-			buf, err := io.ReadAll(part)
-			if err != nil {
-				return nil, nil, fmt.Errorf("reading part %q: %w", part.FormName(), err)
+			name := part.FormName()
+			if name != "a" && name != "b" {
+				continue
 			}
-			switch part.FormName() {
-			case "a":
-				a = buf
-			case "b":
-				b = buf
+			start := len(arena)
+			if arena, err = readAllCapped(part, arena, int64(len(data)), nil); err != nil {
+				return nil, nil, fmt.Errorf("reading part %q: %w", name, err)
+			}
+			side := arena[start:len(arena):len(arena)]
+			if name == "a" {
+				a = side
+			} else {
+				b = side
 			}
 		}
 	} else {
@@ -78,7 +87,7 @@ func diffSides(r *http.Request, data []byte) (a, b []byte, err error) {
 // layer; with the cache enabled the cycle reports come from the handles'
 // memoized artifacts, so repeated cycle-aware diffs of the same images
 // never re-detect.
-func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w io.Writer) error {
+func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, _ cache.Key, w io.Writer) error {
 	da, db, err := diffSides(r, data)
 	if err != nil {
 		return err
@@ -116,11 +125,10 @@ func (s *server) renderDiff(ctx context.Context, r *http.Request, data []byte, w
 // loadDiffSide is the cache-disabled load of one diff side, with the
 // same corrupt-side mapping as the cached path.
 func (s *server) loadDiffSide(ctx context.Context, side string, data []byte) (*analyzer.Trace, error) {
-	tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), s.cfg.limits)
+	tr, err := s.loadUncached(ctx, data)
 	if err != nil {
 		return nil, s.diffLoadError(ctx, &cache.SideError{Side: side, Err: err, Data: data})
 	}
-	analyzer.Validate(tr)
 	return tr, nil
 }
 
@@ -144,7 +152,7 @@ func (s *server) diffLoadError(ctx context.Context, err error) error {
 	var d *analyzer.DoctorReport
 	var derr error
 	if s.cache != nil {
-		d, derr = s.cache.Doctor(ctx, se.Data, s.cfg.limits)
+		d, derr = s.cache.Doctor(ctx, se.Key, se.Data, s.cfg.limits)
 	} else {
 		d, derr = analyzer.DoctorDataContext(ctx, se.Data, s.cfg.limits)
 	}

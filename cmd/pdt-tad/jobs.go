@@ -87,9 +87,11 @@ func (s *server) setupState() error {
 			}
 			// Through the cluster-aware path: a job executing on a
 			// non-owner replica peeks the owner's cache like a
-			// synchronous request would.
+			// synchronous request would. The manager hands over the
+			// image restored from the disk tier, not its key, so the
+			// bytes are keyed here.
 			var buf bytes.Buffer
-			err := s.artifact(ctx, kind, image, &buf, func() error {
+			err := s.artifact(ctx, kind, cache.KeyOf(image), image, &buf, func() error {
 				return errors.New("jobs require the cache")
 			})
 			return buf.Bytes(), err
@@ -198,24 +200,19 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.runSync(w, r, kind, nil)
 		return
 	}
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var se *statusError
-		if errors.As(err, &se) {
-			s.writeError(w, se.status, se.err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
+	data, key, serr := s.readBody(w, r, true)
+	if serr != nil {
+		s.writeError(w, serr.status, serr.err)
 		return
 	}
-	key := cache.KeyOf(data)
+	body := &readBodyResult{data, key}
 	tier := s.cache.Disk()
 	// The image must be durable before the 202: a replayed job has no
 	// request body to fall back on. A failed spill degrades this
 	// request to the synchronous path instead of losing it.
 	if err := tier.Put(key, cache.KindTrace, data); err != nil {
 		s.log.Warn("job image spill failed, degrading to sync", "err", err)
-		s.runSync(w, r, kind, data)
+		s.runSync(w, r, kind, body)
 		return
 	}
 	tier.Pin(key)
@@ -232,7 +229,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			// The journal would not take the accept record; the job is
 			// not durable, so don't pretend. Serve it synchronously.
 			s.log.Warn("job journal rejected accept, degrading to sync", "err", err)
-			s.runSync(w, r, kind, data)
+			s.runSync(w, r, kind, body)
 		}
 		return
 	}
@@ -242,18 +239,10 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 // runSync executes a job submission synchronously through the normal
 // analysis stack (admission control, deadline, error mapping included).
-// data, when non-nil, replaces the already-consumed request body.
-func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, data []byte) {
+// body, when non-nil, is the already-consumed request body and its key.
+func (s *server) runSync(w http.ResponseWriter, r *http.Request, kind string, body *readBodyResult) {
 	w.Header().Set("X-Pdt-Mode", "sync")
-	if data != nil {
-		// data is already decompressed; the replayed body must not claim
-		// the original Content-Encoding.
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(data))
-		r.ContentLength = int64(len(data))
-		r.Header.Del("Content-Encoding")
-	}
-	s.analysis(kind, s.renderFor(kind)).ServeHTTP(w, r)
+	s.serveAnalysis(w, r, kind, s.renderFor(kind), body)
 }
 
 // renderFor maps an artifact kind to its renderFunc.
@@ -321,7 +310,7 @@ func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusGone, errors.New("trace image evicted from the disk tier"))
 		return
 	}
-	b, err := s.cache.Artifact(r.Context(), img, jb.Kind, s.cfg.limits)
+	b, err := s.cache.KeyedArtifact(r.Context(), key, img, jb.Kind, s.cfg.limits)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err)
 		return

@@ -307,9 +307,11 @@ func (s *server) observe(d time.Duration) {
 }
 
 // renderFunc turns an uploaded request body into a JSON response body.
-// Most endpoints only look at the raw trace image in data; /v1/diff also
-// reads the request's Content-Type to pick its two-side encoding.
-type renderFunc func(ctx context.Context, r *http.Request, data []byte, w io.Writer) error
+// Most endpoints only look at the raw trace image in data and its content
+// key (computed by readBody as the bytes arrived; zero when the cache is
+// off); /v1/diff also reads the request's Content-Type to pick its
+// two-side encoding, and keys each side itself.
+type renderFunc func(ctx context.Context, r *http.Request, data []byte, key cache.Key, w io.Writer) error
 
 // statusError pins a render failure to a specific HTTP status, with an
 // optional prebuilt JSON body (the diff endpoint's doctor-style 422).
@@ -322,24 +324,15 @@ type statusError struct {
 func (e *statusError) Error() string { return e.err.Error() }
 func (e *statusError) Unwrap() error { return e.err }
 
-// loadShared resolves a trace through the cache (one load per content
-// address, artifacts memoized) or, when the cache is disabled, loads and
-// validates it directly. The second return is nil exactly when the cache
-// is bypassed.
-func (s *server) loadShared(ctx context.Context, data []byte) (*analyzer.Trace, *cache.Handle, error) {
-	if s.cache != nil {
-		h, err := s.cache.Load(ctx, data, s.cfg.limits)
-		if err != nil {
-			return nil, nil, err
-		}
-		return h.Trace(), h, nil
-	}
-	tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), s.cfg.limits)
+// loadUncached is the cache-off load: parse the image in place and
+// validate it.
+func (s *server) loadUncached(ctx context.Context, data []byte) (*analyzer.Trace, error) {
+	tr, err := analyzer.LoadBytes(ctx, data, s.cfg.limits)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	analyzer.Validate(tr)
-	return tr, nil, nil
+	return tr, nil
 }
 
 // artifact serves one analysis kind through all the tiers — local
@@ -347,12 +340,11 @@ func (s *server) loadShared(ctx context.Context, data []byte) (*analyzer.Trace, 
 // the key's owner replica, then recompute with write-through — falling
 // back to direct computation when the cache is disabled. Remote fetches
 // are adopted into the local tiers so the next request for the same
-// bytes stays on this box.
-func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Writer, direct func() error) error {
+// bytes stays on this box. key must be cache.KeyOf(data).
+func (s *server) artifact(ctx context.Context, kind string, key cache.Key, data []byte, w io.Writer, direct func() error) error {
 	if s.cache == nil {
 		return direct()
 	}
-	key := cache.KeyOf(data)
 	if b, ok := s.cache.Peek(key, kind); ok {
 		if s.cluster != nil {
 			s.noteCluster(ctx, "local")
@@ -366,7 +358,7 @@ func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Wr
 			return err
 		}
 	}
-	b, err := s.cache.Artifact(ctx, data, kind, s.cfg.limits)
+	b, err := s.cache.KeyedArtifact(ctx, key, data, kind, s.cfg.limits)
 	if err != nil {
 		return err
 	}
@@ -374,9 +366,9 @@ func (s *server) artifact(ctx context.Context, kind string, data []byte, w io.Wr
 	return err
 }
 
-func (s *server) renderSummary(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindSummary, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
+func (s *server) renderSummary(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindSummary, key, data, w, func() error {
+		tr, err := s.loadUncached(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -384,9 +376,9 @@ func (s *server) renderSummary(ctx context.Context, _ *http.Request, data []byte
 	})
 }
 
-func (s *server) renderProfile(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindProfile, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
+func (s *server) renderProfile(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindProfile, key, data, w, func() error {
+		tr, err := s.loadUncached(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -394,9 +386,9 @@ func (s *server) renderProfile(ctx context.Context, _ *http.Request, data []byte
 	})
 }
 
-func (s *server) renderGaps(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindGaps, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
+func (s *server) renderGaps(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindGaps, key, data, w, func() error {
+		tr, err := s.loadUncached(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -405,9 +397,9 @@ func (s *server) renderGaps(ctx context.Context, _ *http.Request, data []byte, w
 	})
 }
 
-func (s *server) renderCritPath(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindCritPath, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
+func (s *server) renderCritPath(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindCritPath, key, data, w, func() error {
+		tr, err := s.loadUncached(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -415,9 +407,9 @@ func (s *server) renderCritPath(ctx context.Context, _ *http.Request, data []byt
 	})
 }
 
-func (s *server) renderCycles(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindCycles, data, w, func() error {
-		tr, _, err := s.loadShared(ctx, data)
+func (s *server) renderCycles(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindCycles, key, data, w, func() error {
+		tr, err := s.loadUncached(ctx, data)
 		if err != nil {
 			return err
 		}
@@ -427,8 +419,8 @@ func (s *server) renderCycles(ctx context.Context, _ *http.Request, data []byte,
 
 // renderDoctor never treats damage as an error — that is the point of the
 // endpoint — but limit violations and deadlines still abort.
-func (s *server) renderDoctor(ctx context.Context, _ *http.Request, data []byte, w io.Writer) error {
-	return s.artifact(ctx, cache.KindDoctor, data, w, func() error {
+func (s *server) renderDoctor(ctx context.Context, _ *http.Request, data []byte, key cache.Key, w io.Writer) error {
+	return s.artifact(ctx, cache.KindDoctor, key, data, w, func() error {
 		d, err := analyzer.DoctorDataContext(ctx, data, s.cfg.limits)
 		if err != nil {
 			return err
@@ -482,83 +474,97 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // analysis wraps a renderFunc with the whole protection stack: request
 // deadline, admission control, body cap, and error-to-status mapping.
-// The JSON body is rendered into a buffer first so a mid-render failure
-// still produces a clean error response instead of truncated output.
 func (s *server) analysis(name string, render renderFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		if s.cfg.requestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
-			defer cancel()
-		}
-		release, err := s.admit(ctx)
-		if err != nil {
-			if errors.Is(err, errShed) {
-				w.Header().Set("Retry-After", s.retryAfter())
-				s.writeError(w, http.StatusTooManyRequests, err)
-				return
-			}
-			// A queue-deadline 504 is as retryable as a 429 shed: the
-			// server was busy, not broken. Advertise that consistently.
-			w.Header().Set("Retry-After", s.retryAfter())
-			s.writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("queued past the request deadline: %w", err))
-			return
-		}
-		defer release()
-		start := time.Now()
-		defer func() { s.observe(time.Since(start)) }()
-		if s.analysisHook != nil {
-			s.analysisHook()
-		}
-		data, err := s.readBody(w, r)
-		if err != nil {
-			var se *statusError
-			if errors.As(err, &se) {
-				s.writeError(w, se.status, se.err)
-				return
-			}
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		var note *clusterNote
-		if s.cluster != nil {
-			note = &clusterNote{}
-			ctx = context.WithValue(ctx, clusterNoteKey{}, note)
-		}
-		var buf bytes.Buffer
-		if err := render(ctx, r, data, &buf); err != nil {
-			var se *statusError
-			switch {
-			case errors.As(err, &se):
-				if se.body != nil {
-					w.Header().Set("Content-Type", "application/json")
-					w.WriteHeader(se.status)
-					_, _ = w.Write(se.body)
-					return
-				}
-				s.writeError(w, se.status, se.err)
-			case errors.Is(err, analyzer.ErrLimitExceeded):
-				s.writeError(w, http.StatusRequestEntityTooLarge, err)
-			case errors.Is(err, context.DeadlineExceeded):
-				w.Header().Set("Retry-After", s.retryAfter())
-				s.writeError(w, http.StatusGatewayTimeout, err)
-			case errors.Is(err, context.Canceled):
-				// Client went away; nothing useful to write.
-			default:
-				s.writeError(w, http.StatusBadRequest,
-					fmt.Errorf("%s: %w", name, err))
-			}
-			return
-		}
-		if note != nil && note.v != "" {
-			w.Header().Set("X-Pdt-Cluster", note.v)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-		_, _ = w.Write(buf.Bytes())
+		s.serveAnalysis(w, r, name, render, nil)
 	})
+}
+
+// readBodyResult is a request body already read (and keyed) by readBody.
+type readBodyResult struct {
+	data []byte
+	key  cache.Key
+}
+
+// serveAnalysis runs one analysis request through the protection stack.
+// pre, when non-nil, is the body a caller already read, so it is neither
+// read nor hashed again. The JSON body is rendered into a buffer first
+// so a mid-render failure still produces a clean error response instead
+// of truncated output.
+func (s *server) serveAnalysis(w http.ResponseWriter, r *http.Request, name string, render renderFunc, pre *readBodyResult) {
+	ctx := r.Context()
+	if s.cfg.requestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.requestTimeout)
+		defer cancel()
+	}
+	release, err := s.admit(ctx)
+	if err != nil {
+		if errors.Is(err, errShed) {
+			w.Header().Set("Retry-After", s.retryAfter())
+			s.writeError(w, http.StatusTooManyRequests, err)
+			return
+		}
+		// A queue-deadline 504 is as retryable as a 429 shed: the
+		// server was busy, not broken. Advertise that consistently.
+		w.Header().Set("Retry-After", s.retryAfter())
+		s.writeError(w, http.StatusGatewayTimeout,
+			fmt.Errorf("queued past the request deadline: %w", err))
+		return
+	}
+	defer release()
+	start := time.Now()
+	defer func() { s.observe(time.Since(start)) }()
+	if s.analysisHook != nil {
+		s.analysisHook()
+	}
+	if pre == nil {
+		// Only a cached route needs the content key, and a diff body
+		// is an envelope: its content addresses are the two sides,
+		// which LoadPair keys itself.
+		data, key, serr := s.readBody(w, r, s.cache != nil && name != "diff")
+		if serr != nil {
+			s.writeError(w, serr.status, serr.err)
+			return
+		}
+		pre = &readBodyResult{data, key}
+	}
+	var note *clusterNote
+	if s.cluster != nil {
+		note = &clusterNote{}
+		ctx = context.WithValue(ctx, clusterNoteKey{}, note)
+	}
+	var buf bytes.Buffer
+	if err := render(ctx, r, pre.data, pre.key, &buf); err != nil {
+		var se *statusError
+		switch {
+		case errors.As(err, &se):
+			if se.body != nil {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(se.status)
+				_, _ = w.Write(se.body)
+				return
+			}
+			s.writeError(w, se.status, se.err)
+		case errors.Is(err, analyzer.ErrLimitExceeded):
+			s.writeError(w, http.StatusRequestEntityTooLarge, err)
+		case errors.Is(err, context.DeadlineExceeded):
+			w.Header().Set("Retry-After", s.retryAfter())
+			s.writeError(w, http.StatusGatewayTimeout, err)
+		case errors.Is(err, context.Canceled):
+			// Client went away; nothing useful to write.
+		default:
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("%s: %w", name, err))
+		}
+		return
+	}
+	if note != nil && note.v != "" {
+		w.Header().Set("X-Pdt-Cluster", note.v)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError emits a small JSON error document.

@@ -215,12 +215,15 @@ func (h *Handle) Cycles() *cycles.Report {
 // requests for the same bytes wait on the same flight. If the leader's
 // request is cancelled mid-load, a live waiter retries the load itself
 // rather than failing on the leader's context error.
-func (c *Cache) Load(ctx context.Context, data []byte, lim analyzer.Limits) (*Handle, error) {
-	key := KeyOf(data)
+//
+// key must be KeyOf(data); callers hash once, as the bytes arrive, and
+// pass the key down. The trace is parsed in place (analyzer.LoadBytes):
+// the cache keeps no reference to data.
+func (c *Cache) Load(ctx context.Context, key Key, data []byte, lim analyzer.Limits) (*Handle, error) {
 	for {
 		f, lead := c.acquire(key, false)
 		if lead {
-			tr, err := analyzer.LoadContext(ctx, bytes.NewReader(data), lim)
+			tr, err := analyzer.LoadBytes(ctx, data, lim)
 			if err == nil {
 				// Validate once while the flight is still exclusive; the
 				// shared trace is immutable from here on.
@@ -259,9 +262,8 @@ func (c *Cache) Load(ctx context.Context, data []byte, lim analyzer.Limits) (*Ha
 // Doctor returns the salvage/recovery report for the trace image, cached
 // and deduplicated exactly like Load. Recoverable damage is a valid
 // (cached) result; only hard failures — cancellation, admission limits —
-// are errors, and those are never cached.
-func (c *Cache) Doctor(ctx context.Context, data []byte, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
-	key := KeyOf(data)
+// are errors, and those are never cached. key must be KeyOf(data).
+func (c *Cache) Doctor(ctx context.Context, key Key, data []byte, lim analyzer.Limits) (*analyzer.DoctorReport, error) {
 	for {
 		f, lead := c.acquire(key, true)
 		if lead {
@@ -370,7 +372,13 @@ func Render(kind string, h *Handle) ([]byte, error) {
 // After a restart, path 2 is what makes the warm cache real: the upload
 // is hashed and served without parsing, decoding, or analyzing.
 func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim analyzer.Limits) ([]byte, error) {
-	key := KeyOf(data)
+	return c.KeyedArtifact(ctx, KeyOf(data), data, kind, lim)
+}
+
+// KeyedArtifact is Artifact for a caller that already holds the image's
+// content key (key must be KeyOf(data)), so the bytes are not hashed
+// again.
+func (c *Cache) KeyedArtifact(ctx context.Context, key Key, data []byte, kind string, lim analyzer.Limits) ([]byte, error) {
 	if b, ok := c.peekArtifact(key, kind); ok {
 		return b, nil
 	}
@@ -380,7 +388,7 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 		}
 	}
 	if kind == KindDoctor {
-		d, err := c.Doctor(ctx, data, lim)
+		d, err := c.Doctor(ctx, key, data, lim)
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +398,7 @@ func (c *Cache) Artifact(ctx context.Context, data []byte, kind string, lim anal
 		}
 		return c.adoptArtifact(key, kind, buf.Bytes()), nil
 	}
-	h, err := c.Load(ctx, data, lim)
+	h, err := c.Load(ctx, key, data, lim)
 	if err != nil {
 		return nil, err
 	}

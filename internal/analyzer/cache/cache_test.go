@@ -33,11 +33,11 @@ func TestLoadHitReturnsSameTrace(t *testing.T) {
 	data := traceImage(t, 300)
 	ctx := context.Background()
 
-	h1, err := c.Load(ctx, data, analyzer.Limits{})
+	h1, err := c.Load(ctx, cache.KeyOf(data), data, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := c.Load(ctx, data, analyzer.Limits{})
+	h2, err := c.Load(ctx, cache.KeyOf(data), data, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := c.Load(ctx, data, analyzer.Limits{})
+			h, err := c.Load(ctx, cache.KeyOf(data), data, analyzer.Limits{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -104,7 +104,7 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 	d := traceImage(t, 600)
 
 	for _, img := range [][]byte{a, b, d} {
-		if _, err := c.Load(ctx, img, analyzer.Limits{}); err != nil {
+		if _, err := c.Load(ctx, cache.KeyOf(img), img, analyzer.Limits{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestEntryBoundEvictsLRU(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
 	// a was least recently used: reloading it must miss again.
-	if _, err := c.Load(ctx, a, analyzer.Limits{}); err != nil {
+	if _, err := c.Load(ctx, cache.KeyOf(a), a, analyzer.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Misses; got != 4 {
@@ -128,17 +128,18 @@ func TestByteBoundEvicts(t *testing.T) {
 	ctx := context.Background()
 	a := traceImage(t, 400)
 	// Budget that holds one loaded trace but not two.
-	h, err := cache.New(0, 0).Load(ctx, a, analyzer.Limits{})
+	h, err := cache.New(0, 0).Load(ctx, cache.KeyOf(a), a, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := h.Trace().Footprint() + h.Trace().Footprint()/2
 
 	c := cache.New(0, budget)
-	if _, err := c.Load(ctx, a, analyzer.Limits{}); err != nil {
+	if _, err := c.Load(ctx, cache.KeyOf(a), a, analyzer.Limits{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Load(ctx, traceImage(t, 500), analyzer.Limits{}); err != nil {
+	b := traceImage(t, 500)
+	if _, err := c.Load(ctx, cache.KeyOf(b), b, analyzer.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -156,7 +157,7 @@ func TestLoadErrorNotCached(t *testing.T) {
 	junk := []byte("not a trace at all")
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Load(ctx, junk, analyzer.Limits{}); err == nil {
+		if _, err := c.Load(ctx, cache.KeyOf(junk), junk, analyzer.Limits{}); err == nil {
 			t.Fatal("junk loaded without error")
 		}
 	}
@@ -177,14 +178,14 @@ func TestDoctorCachedBesideFailedLoad(t *testing.T) {
 	img := traceImage(t, 300)
 	img[len(img)/2] ^= 0xFF // corrupt the body
 
-	if _, err := c.Load(ctx, img, analyzer.Limits{}); err == nil {
+	if _, err := c.Load(ctx, cache.KeyOf(img), img, analyzer.Limits{}); err == nil {
 		t.Fatal("corrupt image loaded cleanly; test needs a corrupting flip")
 	}
-	d1, err := c.Doctor(ctx, img, analyzer.Limits{})
+	d1, err := c.Doctor(ctx, cache.KeyOf(img), img, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.Doctor(ctx, img, analyzer.Limits{})
+	d2, err := c.Doctor(ctx, cache.KeyOf(img), img, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestChurnMixedTracesNoBleed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (w + i) % len(images)
-				h, err := c.Load(ctx, images[k], analyzer.Limits{})
+				h, err := c.Load(ctx, cache.KeyOf(images[k]), images[k], analyzer.Limits{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -342,7 +343,7 @@ func TestAdoptedBytesSurviveLocalLoad(t *testing.T) {
 	c.AdoptArtifact(key, cache.KindSummary, adopted)
 	// A later local load settles a flight for the same key without
 	// rendering the summary; the adopted bytes must stay visible.
-	if _, err := c.Load(ctx, img, analyzer.Limits{}); err != nil {
+	if _, err := c.Load(ctx, cache.KeyOf(img), img, analyzer.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := c.Peek(key, cache.KindSummary)

@@ -12,7 +12,9 @@ import (
 type SideError struct {
 	Side string // "a" or "b"
 	Err  error
-	// Data is the failing side's raw image, for follow-up doctoring.
+	// Key and Data are the failing side's content key and raw image,
+	// for follow-up doctoring.
+	Key  Key
 	Data []byte
 }
 
@@ -23,23 +25,27 @@ func (e *SideError) Unwrap() error { return e.Err }
 // diff request pays at most one load per distinct content address —
 // none when both sides are already cached, and exactly one when the two
 // sides are byte-identical (the second request piggybacks on the
-// first's flight). A failure is reported as a *SideError naming the
-// side; when both sides fail, side "a" wins deterministically.
+// first's flight). Each side is hashed once, on its own goroutine. A
+// failure is reported as a *SideError naming the side; when both sides
+// fail, side "a" wins deterministically.
 func (c *Cache) LoadPair(ctx context.Context, a, b []byte, lim analyzer.Limits) (ha, hb *Handle, err error) {
 	var ea, eb error
+	var ka, kb Key
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		hb, eb = c.Load(ctx, b, lim)
+		kb = KeyOf(b)
+		hb, eb = c.Load(ctx, kb, b, lim)
 	}()
-	ha, ea = c.Load(ctx, a, lim)
+	ka = KeyOf(a)
+	ha, ea = c.Load(ctx, ka, a, lim)
 	wg.Wait()
 	if ea != nil {
-		return nil, nil, &SideError{Side: "a", Err: ea, Data: a}
+		return nil, nil, &SideError{Side: "a", Err: ea, Key: ka, Data: a}
 	}
 	if eb != nil {
-		return nil, nil, &SideError{Side: "b", Err: eb, Data: b}
+		return nil, nil, &SideError{Side: "b", Err: eb, Key: kb, Data: b}
 	}
 	return ha, hb, nil
 }

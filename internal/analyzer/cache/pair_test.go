@@ -30,7 +30,7 @@ func TestLoadPairSharesCache(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 misses from the pair load", st)
 	}
 
-	h2, err := c.Load(ctx, a, analyzer.Limits{})
+	h2, err := c.Load(ctx, cache.KeyOf(a), a, analyzer.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,11 +125,17 @@ func LoadFileContext(ctx context.Context, path string, lim Limits) (*Trace, erro
 		return nil, err
 	}
 	defer m.Close()
-	if lim.MaxFileBytes > 0 && int64(len(m.Data())) > lim.MaxFileBytes {
-		return nil, fmt.Errorf("%w: file size %d exceeds limit %d",
-			ErrLimitExceeded, len(m.Data()), lim.MaxFileBytes)
-	}
-	f, err := traceio.ParseContext(ctx, m.Data(), lim)
+	return LoadBytes(ctx, m.Data(), lim)
+}
+
+// LoadBytes parses, decodes and merges a trace image that is already in
+// memory, under cancellation and admission control, without copying it:
+// chunk data is sliced out of data and decoded straight into the column
+// arenas. The returned Trace keeps no reference to data, so the caller
+// may reuse or release the buffer (or unmap it) as soon as LoadBytes
+// returns.
+func LoadBytes(ctx context.Context, data []byte, lim Limits) (*Trace, error) {
+	f, err := traceio.ParseContext(ctx, data, lim)
 	if err != nil {
 		return nil, err
 	}

@@ -33,9 +33,10 @@ type StreamOptions struct {
 	// (SuggestGapThreshold) needs every inter-event distance and is
 	// deliberately not replicated on the streaming path.
 	GapMinTicks uint64
-	// Validate enables the incremental structural validator. On clean
-	// traces it matches batch Validate (both find nothing); on damaged
-	// multi-window streams the findings match in substance but sequence
+	// Validate enables the incremental structural validator — the
+	// same per-event step and end-of-stream checks as batch Validate.
+	// On clean traces both find nothing; on damaged multi-window
+	// streams the per-event findings match in substance but sequence
 	// numbers and ordering may differ from the batch scan.
 	Validate bool
 	// Ctx, when non-nil, cancels in-flight decode and merge work; Write

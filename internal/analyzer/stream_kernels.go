@@ -76,18 +76,6 @@ type pairAcc struct {
 	cores [4]uint64 // 256-bit contributing-core set
 }
 
-// valAcc is the incremental Validate state (validate.go's locals).
-type valAcc struct {
-	lastTime  map[uint8]uint64
-	openPairs map[uint8][]event.ID
-	runsSeen  map[int]bool
-	runEnded  map[int]bool
-
-	spuOutWrites, ppeOutReads, ppeInWrites, spuInReads int
-
-	issues []Issue // scan-order findings
-}
-
 // streamAccumulators folds merged segments into every incremental
 // kernel. All calls happen under the owning StreamLoader's mutex.
 type streamAccumulators struct {
@@ -113,7 +101,7 @@ type streamAccumulators struct {
 	profOpen [256][]uint64 // core -> enterID -> start+1
 	profAcc  map[event.ID]*pairAcc
 
-	val       *valAcc
+	val       *validator // nil unless StreamOptions.Validate
 	valIssues []Issue
 
 	finished bool
@@ -127,12 +115,7 @@ func newStreamAccumulators(opts StreamOptions) *streamAccumulators {
 		profAcc:    map[event.ID]*pairAcc{},
 	}
 	if opts.Validate {
-		a.val = &valAcc{
-			lastTime:  map[uint8]uint64{},
-			openPairs: map[uint8][]event.ID{},
-			runsSeen:  map[int]bool{},
-			runEnded:  map[int]bool{},
-		}
+		a.val = &validator{}
 	}
 	return a
 }
@@ -198,7 +181,10 @@ func (a *streamAccumulators) fold(seg *colstore.Store, strings map[uint64]string
 		}
 		a.foldProfile(seg, i, id, core, g)
 		if a.val != nil {
-			a.foldValidate(seg, i, id, core, g, seq, strings)
+			// seq is the fold-order sequence number: it matches the
+			// batch seq on clean traces (which produce no findings) and
+			// is a best-effort locator on damaged multi-window streams.
+			a.val.step(seg, i, seq, strings)
 		}
 	}
 }
@@ -399,107 +385,18 @@ func (a *streamAccumulators) foldProfile(seg *colstore.Store, i int, id event.ID
 	}
 }
 
-// foldValidate advances the structural validator (validate.go) by one
-// event. seq is the fold-order sequence number: it matches the batch
-// seq on clean traces (which produce no findings) and is a best-effort
-// locator on damaged multi-window streams.
-func (a *streamAccumulators) foldValidate(seg *colstore.Store, i int, id event.ID, core uint8, g uint64, seq int, strings map[uint64]string) {
-	v := a.val
-	report := func(sev, format string, args ...interface{}) {
-		v.issues = append(v.issues, Issue{sev, fmt.Sprintf(format, args...)})
-	}
-	info, ok := event.Lookup(id)
-	if !ok {
-		report("error", "unknown event id %d at seq %d", id, seq)
-		return
-	}
-	if last, seen := v.lastTime[core]; seen && g < last {
-		report("error", "core %d time went backwards at seq %d (%d < %d)", core, seq, g, last)
-	}
-	v.lastTime[core] = g
-
-	switch info.Kind {
-	case event.KindEnter:
-		v.openPairs[core] = append(v.openPairs[core], id)
-	case event.KindExit:
-		stack := v.openPairs[core]
-		if len(stack) == 0 {
-			report("error", "core %d: %s without matching enter at seq %d", core, info.Name, seq)
-			break
-		}
-		top := stack[len(stack)-1]
-		if top != info.Pair {
-			report("error", "core %d: %s exits %s (crossed pair) at seq %d",
-				core, info.Name, top, seq)
-		}
-		v.openPairs[core] = stack[:len(stack)-1]
-	}
-
-	run := int(seg.Run[i])
-	switch id {
-	case event.SPEProgramStart:
-		if v.runsSeen[run] {
-			report("error", "run %d has duplicate SPE_PROGRAM_START", run)
-		}
-		v.runsSeen[run] = true
-		if ref := seg.Args[seg.ArgOff[i]]; strings[ref] == "" {
-			report("warn", "run %d program name ref %d unresolved", run, ref)
-		}
-	case event.SPEProgramEnd:
-		v.runEnded[run] = true
-	case event.SPEWriteOutMboxExit:
-		v.spuOutWrites++
-	case event.PPEReadOutMboxExit:
-		v.ppeOutReads++
-	case event.PPEWriteInMboxExit:
-		v.ppeInWrites++
-	case event.SPEReadInMboxExit:
-		v.spuInReads++
-	}
-}
-
-// finishStream runs the end-of-stream validator checks (the trailing
-// section of Validate). Idempotent; called once from Finish.
+// finishStream runs the validator's end-of-stream checks. Idempotent;
+// called once from Finish.
 func (a *streamAccumulators) finishStream(truncated bool) {
 	if a.finished {
 		return
 	}
 	a.finished = true
-	v := a.val
-	if v == nil {
+	if a.val == nil {
 		return
 	}
-	report := func(sev, format string, args ...interface{}) {
-		v.issues = append(v.issues, Issue{sev, fmt.Sprintf(format, args...)})
-	}
-	for core, stack := range v.openPairs {
-		for _, id := range stack {
-			sev := "error"
-			if truncated {
-				sev = "warn"
-			}
-			report(sev, "core %d: %s never exited", core, id)
-		}
-	}
-	for run := range v.runsSeen {
-		if !v.runEnded[run] && !truncated {
-			report("error", "run %d has no SPE_PROGRAM_END", run)
-		}
-	}
-	conf := a.confidence()
-	groups := groupMaskFromMeta(a.meta.Groups)
-	if groups&event.GroupMailbox != 0 && groups&event.GroupHost != 0 &&
-		!truncated && !conf.Degraded() {
-		if v.ppeOutReads > v.spuOutWrites {
-			report("error", "mailbox conservation violated: PPE read %d outbound values but SPUs wrote %d",
-				v.ppeOutReads, v.spuOutWrites)
-		}
-		if v.spuInReads > v.ppeInWrites {
-			report("error", "mailbox conservation violated: SPUs read %d inbound values but PPE wrote %d",
-				v.spuInReads, v.ppeInWrites)
-		}
-	}
-	a.valIssues = v.issues
+	a.val.finish(truncated, a.meta.Groups, a.confidence())
+	a.valIssues = a.val.issues
 }
 
 // confidence derives survival fractions from the folded per-core counts

@@ -2,7 +2,9 @@ package analyzer
 
 import (
 	"fmt"
+	"sort"
 
+	"github.com/celltrace/pdt/internal/analyzer/colstore"
 	"github.com/celltrace/pdt/internal/core/event"
 )
 
@@ -17,101 +19,154 @@ import (
 //   - string references resolve,
 //   - mailbox conservation: SPU outbound writes >= PPE outbound reads,
 //     and likewise for the inbound direction.
+//
+// Findings come out in scan order, then the end-of-stream findings in
+// ascending core and run order, so a given trace always yields the same
+// issues.
 func Validate(tr *Trace) []Issue {
-	var issues []Issue
-	report := func(sev, format string, args ...interface{}) {
-		issues = append(issues, Issue{sev, fmt.Sprintf(format, args...)})
-	}
-
-	lastTime := map[uint8]uint64{}
-	openPairs := map[uint8][]event.ID{} // stack of open Enter events per core
-	runsSeen := map[int]bool{}
-	runEnded := map[int]bool{}
-	var spuOutWrites, ppeOutReads, ppeInWrites, spuInReads int
-
-	for i, n := 0, tr.NumEvents(); i < n; i++ {
-		e := tr.Event(i)
-		info, ok := event.Lookup(e.ID)
-		if !ok {
-			report("error", "unknown event id %d at seq %d", e.ID, e.Seq)
-			continue
-		}
-		if last, seen := lastTime[e.Core]; seen && e.Global < last {
-			report("error", "core %d time went backwards at seq %d (%d < %d)", e.Core, e.Seq, e.Global, last)
-		}
-		lastTime[e.Core] = e.Global
-
-		switch info.Kind {
-		case event.KindEnter:
-			openPairs[e.Core] = append(openPairs[e.Core], e.ID)
-		case event.KindExit:
-			stack := openPairs[e.Core]
-			if len(stack) == 0 {
-				report("error", "core %d: %s without matching enter at seq %d", e.Core, info.Name, e.Seq)
-				break
-			}
-			top := stack[len(stack)-1]
-			if top != info.Pair {
-				report("error", "core %d: %s exits %s (crossed pair) at seq %d",
-					e.Core, info.Name, top, e.Seq)
-			}
-			openPairs[e.Core] = stack[:len(stack)-1]
-		}
-
-		switch e.ID {
-		case event.SPEProgramStart:
-			if runsSeen[e.Run] {
-				report("error", "run %d has duplicate SPE_PROGRAM_START", e.Run)
-			}
-			runsSeen[e.Run] = true
-			if ref := e.Args[0]; tr.Strings[ref] == "" {
-				report("warn", "run %d program name ref %d unresolved", e.Run, ref)
-			}
-		case event.SPEProgramEnd:
-			runEnded[e.Run] = true
-		case event.SPEWriteOutMboxExit:
-			spuOutWrites++
-		case event.PPEReadOutMboxExit:
-			ppeOutReads++
-		case event.PPEWriteInMboxExit:
-			ppeInWrites++
-		case event.SPEReadInMboxExit:
-			spuInReads++
+	var v validator
+	if s := tr.col; s != nil {
+		for i, n := 0, s.Len(); i < n; i++ {
+			v.step(s, i, i, tr.Strings)
 		}
 	}
+	v.finish(tr.Truncated, tr.Meta.Groups, tr.Confidence)
+	tr.Issues = append(tr.Issues, v.issues...)
+	return v.issues
+}
 
-	for core, stack := range openPairs {
-		for _, id := range stack {
-			sev := "error"
-			if tr.Truncated {
-				sev = "warn"
-			}
-			report(sev, "core %d: %s never exited", core, id)
+// Run flags the validator keeps per SPE run.
+const (
+	runStarted = 1 << iota
+	runEnded
+)
+
+// validator is the one implementation of the structural checks: batch
+// Validate drives step over the whole store, the StreamLoader drives it
+// over each merged segment, and both call finish at end of stream. The
+// per-event state lives in fixed per-core arrays indexed by the Core
+// column, and finish emits its findings in ascending core, then ascending
+// run order, so the same trace always yields the same issues.
+type validator struct {
+	seen     [256]bool
+	lastTime [256]uint64
+	open     [256][]event.ID // stack of open Enter events per core
+	// runs holds the runStarted/runEnded flags; it is touched only by
+	// SPE_PROGRAM_START/END events.
+	runs map[int32]uint8
+
+	spuOutWrites, ppeOutReads, ppeInWrites, spuInReads int
+
+	issues []Issue // findings in report order
+}
+
+func (v *validator) report(sev, format string, args ...interface{}) {
+	v.issues = append(v.issues, Issue{sev, fmt.Sprintf(format, args...)})
+}
+
+// step checks row i of s. seq is the row's position in the merged
+// stream (the batch row index; the fold count when streaming) and
+// strings is the interned string table seen so far.
+func (v *validator) step(s *colstore.Store, i, seq int, strings map[uint64]string) {
+	id, core, g := s.ID[i], s.Core[i], s.Global[i]
+	info, ok := event.Lookup(id)
+	if !ok {
+		v.report("error", "unknown event id %d at seq %d", id, seq)
+		return
+	}
+	if v.seen[core] && g < v.lastTime[core] {
+		v.report("error", "core %d time went backwards at seq %d (%d < %d)", core, seq, g, v.lastTime[core])
+	}
+	v.seen[core] = true
+	v.lastTime[core] = g
+
+	switch info.Kind {
+	case event.KindEnter:
+		v.open[core] = append(v.open[core], id)
+	case event.KindExit:
+		stack := v.open[core]
+		if len(stack) == 0 {
+			v.report("error", "core %d: %s without matching enter at seq %d", core, info.Name, seq)
+			break
+		}
+		if top := stack[len(stack)-1]; top != info.Pair {
+			v.report("error", "core %d: %s exits %s (crossed pair) at seq %d",
+				core, info.Name, top, seq)
+		}
+		v.open[core] = stack[:len(stack)-1]
+	}
+
+	switch id {
+	case event.SPEProgramStart:
+		run := s.Run[i]
+		if v.flagRun(run, runStarted)&runStarted != 0 {
+			v.report("error", "run %d has duplicate SPE_PROGRAM_START", run)
+		}
+		if ref := s.Args[s.ArgOff[i]]; strings[ref] == "" {
+			v.report("warn", "run %d program name ref %d unresolved", run, ref)
+		}
+	case event.SPEProgramEnd:
+		v.flagRun(s.Run[i], runEnded)
+	case event.SPEWriteOutMboxExit:
+		v.spuOutWrites++
+	case event.PPEReadOutMboxExit:
+		v.ppeOutReads++
+	case event.PPEWriteInMboxExit:
+		v.ppeInWrites++
+	case event.SPEReadInMboxExit:
+		v.spuInReads++
+	}
+}
+
+// flagRun sets flag on run and returns the run's previous flags.
+func (v *validator) flagRun(run int32, flag uint8) uint8 {
+	if v.runs == nil {
+		v.runs = map[int32]uint8{}
+	}
+	prev := v.runs[run]
+	v.runs[run] = prev | flag
+	return prev
+}
+
+// finish runs the end-of-stream checks: pairs still open, runs that
+// never ended, and mailbox conservation.
+func (v *validator) finish(truncated bool, groupList string, conf Confidence) {
+	sev := "error"
+	if truncated {
+		sev = "warn"
+	}
+	for core := range v.open {
+		for _, id := range v.open[core] {
+			v.report(sev, "core %d: %s never exited", core, id)
 		}
 	}
-	for run := range runsSeen {
-		if !runEnded[run] && !tr.Truncated {
-			report("error", "run %d has no SPE_PROGRAM_END", run)
+	if !truncated {
+		runs := make([]int32, 0, len(v.runs))
+		for run, flags := range v.runs {
+			if flags&(runStarted|runEnded) == runStarted {
+				runs = append(runs, run)
+			}
+		}
+		sort.Slice(runs, func(a, b int) bool { return runs[a] < runs[b] })
+		for _, run := range runs {
+			v.report("error", "run %d has no SPE_PROGRAM_END", run)
 		}
 	}
 	// Conservation checks are only meaningful when both sides' event
 	// groups were recorded and neither side lost records (a crash or
 	// salvage can destroy one side of a handshake that did happen).
-	groups := groupMaskFromMeta(tr.Meta.Groups)
+	groups := groupMaskFromMeta(groupList)
 	if groups&event.GroupMailbox != 0 && groups&event.GroupHost != 0 &&
-		!tr.Truncated && !tr.Confidence.Degraded() {
-		if ppeOutReads > spuOutWrites {
-			report("error", "mailbox conservation violated: PPE read %d outbound values but SPUs wrote %d",
-				ppeOutReads, spuOutWrites)
+		!truncated && !conf.Degraded() {
+		if v.ppeOutReads > v.spuOutWrites {
+			v.report("error", "mailbox conservation violated: PPE read %d outbound values but SPUs wrote %d",
+				v.ppeOutReads, v.spuOutWrites)
 		}
-		if spuInReads > ppeInWrites {
-			report("error", "mailbox conservation violated: SPUs read %d inbound values but PPE wrote %d",
-				spuInReads, ppeInWrites)
+		if v.spuInReads > v.ppeInWrites {
+			v.report("error", "mailbox conservation violated: SPUs read %d inbound values but PPE wrote %d",
+				v.spuInReads, v.ppeInWrites)
 		}
 	}
-
-	tr.Issues = append(tr.Issues, issues...)
-	return issues
 }
 
 // groupMaskFromMeta parses the "a|b|c" group list recorded in trace

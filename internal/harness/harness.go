@@ -202,7 +202,7 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 			res.Trace = tr
 			res.Salvage = rep
 		} else {
-			tr, err := analyzer.LoadContext(ctx, bytes.NewReader(res.TraceBytes), analyzer.Limits{})
+			tr, err := analyzer.LoadBytes(ctx, res.TraceBytes, analyzer.Limits{})
 			if err != nil {
 				return nil, err
 			}
