@@ -48,22 +48,24 @@ bench:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchtime 1x -short .
 
 # Analysis-kernel and service-cache benchmarks: the structural
-# validator, parallel vs serial Profile/ComputeCriticalPath and warm vs
+# validator, parallel vs serial Profile/ComputeCriticalPath, the
+# critical-path JSON writer, the doctor pipeline and warm vs
 # cold pdt-tad summary (the
 # warm/cold split is the cache speedup recorded in EXPERIMENTS.md).
 bench-analysis:
-	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 10x .
+	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace|BenchmarkCritPathJSONLargeTrace|BenchmarkDoctorLargeTrace' -benchtime 10x .
 	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 10x ./cmd/pdt-tad
 
 # One -short pass of the same benchmarks for ci: catches kernel/cache
 # regressions that only show up under -bench without the full cost.
 bench-analysis-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace' -benchtime 1x -short .
+	$(GO) test -run '^$$' -bench 'BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace|BenchmarkCritPathJSONLargeTrace|BenchmarkDoctorLargeTrace' -benchtime 1x -short .
 	$(GO) test -run '^$$' -bench BenchmarkTADSummary -benchtime 1x -short ./cmd/pdt-tad
 
 # Benchmark regression gate: run the reference benchmarks (trace load,
-# structural validation, interval profile, critical path, gap hunting, trace differencing,
-# cycle detection, align-mode cycle diffing, end-to-end TAD summary)
+# structural validation, interval profile, critical path and its JSON
+# writer, gap hunting, trace differencing, cycle detection, align-mode
+# cycle diffing, doctor, end-to-end TAD summary)
 # with -benchmem and fail on any ns/op, B/op or
 # allocs/op result >25% worse than BENCH_baseline.json. The short
 # variant (10x smaller traces) is what ci runs; bench-baseline rewrites

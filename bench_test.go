@@ -231,10 +231,8 @@ func BenchmarkLoadStream(b *testing.B) {
 	}
 }
 
-// largeTrace loads the standard multi-MiB benchmark trace once; the
-// analysis-kernel benchmarks below all chew on the same loaded trace so
-// their parallel/serial deltas are purely the kernels.
-func largeTrace(b *testing.B) *analyzer.Trace {
+// largeTraceBytes generates the standard multi-MiB benchmark trace.
+func largeTraceBytes(b *testing.B) []byte {
 	b.Helper()
 	events := 20000
 	if testing.Short() {
@@ -249,11 +247,20 @@ func largeTrace(b *testing.B) *analyzer.Trace {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr, err := analyzer.Load(bytes.NewReader(res.TraceBytes))
+	return res.TraceBytes
+}
+
+// largeTrace loads the standard multi-MiB benchmark trace once; the
+// analysis-kernel benchmarks below all chew on the same loaded trace so
+// their parallel/serial deltas are purely the kernels.
+func largeTrace(b *testing.B) *analyzer.Trace {
+	b.Helper()
+	data := largeTraceBytes(b)
+	tr, err := analyzer.Load(bytes.NewReader(data))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Logf("trace: %d bytes, %d events", len(res.TraceBytes), tr.NumEvents())
+	b.Logf("trace: %d bytes, %d events", len(data), tr.NumEvents())
 	return tr
 }
 
@@ -306,6 +313,35 @@ func BenchmarkCritPathLargeTrace(b *testing.B) {
 			analyzer.ComputeCriticalPathSerial(tr)
 		}
 	})
+}
+
+// BenchmarkCritPathJSONLargeTrace measures rendering an already-computed
+// critical path as the /v1/critpath JSON body.
+func BenchmarkCritPathJSONLargeTrace(b *testing.B) {
+	cp := analyzer.ComputeCriticalPath(largeTrace(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := analyzer.WriteCriticalPathJSON(cp, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDoctorLargeTrace measures the recovery pipeline behind
+// /v1/doctor on the clean standard trace: the salvage scan, the lenient
+// load and validation.
+func BenchmarkDoctorLargeTrace(b *testing.B) {
+	data := largeTraceBytes(b)
+	if v := analyzer.DoctorData(data).Verdict(); v != "CLEAN" {
+		b.Fatalf("benchmark trace doctors as %s, want CLEAN", v)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzer.DoctorData(data)
+	}
 }
 
 // BenchmarkGapsLargeTrace measures gap hunting: the per-run sharded

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -107,6 +108,18 @@ func TestWriteCriticalPath(t *testing.T) {
 	for _, want := range []string{"critical path:", "SPE1", "PPE", "largest segments"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAppendJSONStringMatchesMarshal covers the escaping fallback, which
+// no core or event name reaches.
+func TestAppendJSONStringMatchesMarshal(t *testing.T) {
+	for _, s := range []string{"", "SPE3", "PPE.1", `q"uote`, `back\slash`, "a<b", "a>b", "a&b",
+		"tab\there", "nl\n", "\x00\x1f", "é", "  ", "bad\xffutf8", "\x7f", "line\u2028sep"} {
+		want, _ := json.Marshal(s)
+		if got := appendJSONString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Errorf("appendJSONString(%q) = %s, want x%s", s, got, want)
 		}
 	}
 }

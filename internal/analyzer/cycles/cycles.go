@@ -37,12 +37,20 @@
 // two runs of the same workload would otherwise detect different
 // patterns. Lifecycle events are likewise excluded (they occur once per
 // run by construction).
+//
+// A signature is an ID-set bitmask: bit i is set when event ID i occurs
+// in the cycle. The event model defines fewer than 64 IDs
+// (event.MaxID, checked at compile time below), so one uint64 holds any
+// signature; set union and intersection are OR and AND, set sizes are
+// popcounts, and scoring a candidate allocates nothing.
 package cycles
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 
 	"github.com/celltrace/pdt/internal/analyzer"
 	"github.com/celltrace/pdt/internal/analyzer/colstore"
@@ -184,11 +192,11 @@ func detect(tr *analyzer.Trace, opt Options, serial bool) *Report {
 		rep.Runs = append(rep.Runs, runs[i])
 		rep.TotalCycles += len(runs[i].Cycles)
 	}
-	sort.SliceStable(rep.Runs, func(i, j int) bool {
-		if rep.Runs[i].Core != rep.Runs[j].Core {
-			return rep.Runs[i].Core < rep.Runs[j].Core
+	slices.SortStableFunc(rep.Runs, func(a, b Run) int {
+		if a.Core != b.Core {
+			return cmp.Compare(a.Core, b.Core)
 		}
-		return rep.Runs[i].Run < rep.Runs[j].Run
+		return cmp.Compare(a.Run, b.Run)
 	})
 	return rep
 }
@@ -223,6 +231,31 @@ func eligible(id event.ID) bool {
 	return ok && info.Group != event.GroupOverhead && info.Group != event.GroupLifecycle
 }
 
+// Signature masks hold one bit per event ID; the array length below is
+// negative, and the package fails to compile, if the event model ever
+// outgrows them.
+const idBits = 64
+
+var _ [idBits - event.MaxID]struct{}
+
+// eligibleBits is the signature bit of every eligible ID.
+var eligibleBits = func() (m uint64) {
+	for id := event.ID(0); id < event.MaxID; id++ {
+		if eligible(id) {
+			m |= 1 << id
+		}
+	}
+	return m
+}()
+
+// idBit is id's signature bit, or 0 when id is not eligible.
+func idBit(id event.ID) uint64 {
+	if id >= idBits {
+		return 0
+	}
+	return eligibleBits & (1 << id)
+}
+
 // detectRun runs anchor selection and segmentation on one run.
 func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 	seqs := tr.RunSeqs(run)
@@ -246,33 +279,51 @@ func detectRun(tr *analyzer.Trace, run int, opt Options) Run {
 		End:    s.Global[seqs[len(seqs)-1]],
 	}
 
-	// Occurrence positions (indexes into seqs) per eligible ID.
-	occ := make(map[event.ID][]int32)
-	ids := make([]event.ID, 0, 16)
-	for j, seq := range seqs {
-		id := s.ID[seq]
-		if !eligible(id) {
-			continue
+	sc := newScratch(seqs, s)
+	// Occurrence positions (indexes into seqs) per eligible ID, carved
+	// out of one flat array.
+	var all uint64
+	var count [idBits]int
+	for _, b := range sc.bits {
+		if b != 0 {
+			all |= b
+			count[bits.TrailingZeros64(b)]++
 		}
-		if _, seen := occ[id]; !seen {
-			ids = append(ids, id)
-		}
-		occ[id] = append(occ[id], int32(j))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sc.distinct = bits.OnesCount64(all)
+	maxK := slices.Max(count[:]) // the most cycles any candidate cuts
+	sc.sigs = make([]uint64, 0, maxK)
+	sc.jacs = make([]float64, 0, maxK)
+	sc.walls = make([]float64, 0, maxK)
+	var occ [idBits][]int32
+	flat := make([]int32, 0, len(seqs))
+	for m := all; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(m)
+		occ[id] = flat[len(flat) : len(flat) : len(flat)+count[id]]
+		flat = flat[:len(flat)+count[id]]
+	}
+	for j, b := range sc.bits {
+		if b != 0 {
+			id := bits.TrailingZeros64(b)
+			occ[id] = append(occ[id], int32(j))
+		}
+	}
 
 	best := candidate{score: -1}
-	sc := newScratch(seqs, s)
-	sc.distinct = len(ids)
-	for _, id := range ids {
+	bestSigs := make([]uint64, 0, maxK)
+	for m := all; m != 0; m &= m - 1 {
+		id := bits.TrailingZeros64(m)
 		p := occ[id]
 		if len(p) < opt.MinCycles {
 			continue
 		}
 		for _, role := range [2]int{roleInitiator, roleTerminator} {
-			c := sc.evaluate(id, p, role, opt)
+			c := sc.evaluate(event.ID(id), p, role, opt)
 			if c.better(&best) {
+				// c.sigs is scratch the next candidate overwrites.
+				bestSigs = append(bestSigs[:0], c.sigs...)
 				best = c
+				best.sigs = bestSigs
 			}
 		}
 	}
@@ -305,12 +356,12 @@ type candidate struct {
 	id       event.ID
 	role     int // roleInitiator or roleTerminator
 	score    float64
-	raw      int     // anchor occurrences
-	front    int     // cycles trimmed into startup
-	kept     int     // cycles kept
-	firstRow int32   // seqs index of the first kept cycle's first row
-	pos      []int32 // anchor positions (indexes into seqs)
-	sigs     []uint64
+	raw      int      // anchor occurrences
+	front    int      // cycles trimmed into startup
+	kept     int      // cycles kept
+	firstRow int32    // seqs index of the first kept cycle's first row
+	pos      []int32  // anchor positions (indexes into seqs)
+	sigs     []uint64 // signature mask per cycle, trimmed ones included
 }
 
 // better orders candidates: higher score, then more cycles (finer
@@ -333,51 +384,27 @@ func (c *candidate) better(o *candidate) bool {
 }
 
 // scratch holds the per-run buffers candidate evaluation reuses across
-// anchors: the run's row list, the columns, and a generation-stamped
-// set for collecting distinct IDs per cycle without reallocating.
+// anchors: the row columns it reads and the per-cycle signature, Jaccard
+// and wall-time lists.
 type scratch struct {
-	seqs     []int32
-	ids      []event.ID // ID column value per seqs entry
-	global   []uint64   // Global column value per seqs entry
-	distinct int        // distinct eligible IDs in the run
-	stamp    map[event.ID]int
-	gen      int
-	sig      []event.ID // scratch for the current cycle's signature
+	bits     []uint64 // idBit of each seqs entry's ID
+	global   []uint64 // Global column value per seqs entry
+	distinct int      // distinct eligible IDs in the run
+	sigs     []uint64
+	jacs     []float64
+	walls    []float64
 }
 
 func newScratch(seqs []int32, s *colstore.Store) *scratch {
 	sc := &scratch{
-		seqs:   seqs,
-		ids:    make([]event.ID, len(seqs)),
+		bits:   make([]uint64, len(seqs)),
 		global: make([]uint64, len(seqs)),
-		stamp:  make(map[event.ID]int),
 	}
 	for j, seq := range seqs {
-		sc.ids[j] = s.ID[seq]
+		sc.bits[j] = idBit(s.ID[seq])
 		sc.global[j] = s.Global[seq]
 	}
 	return sc
-}
-
-// cycleSig collects the sorted distinct eligible IDs of rows [lo, hi]
-// (indexes into seqs). The returned slice is a copy.
-func (sc *scratch) cycleSig(lo, hi int32) []event.ID {
-	sc.gen++
-	sc.sig = sc.sig[:0]
-	for j := lo; j <= hi; j++ {
-		id := sc.ids[j]
-		if sc.stamp[id] == sc.gen {
-			continue
-		}
-		sc.stamp[id] = sc.gen
-		if eligible(id) {
-			sc.sig = append(sc.sig, id)
-		}
-	}
-	out := make([]event.ID, len(sc.sig))
-	copy(out, sc.sig)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Anchor roles: an anchor either initiates its cycle (cycle i spans
@@ -415,36 +442,27 @@ func segmentBounds(role int, pos []int32, i int, n int32) (lo, hi int32) {
 // regularity, variety, duration regularity, and coverage.
 func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) candidate {
 	k := len(pos)
-	n := int32(len(sc.seqs))
-	sigs := make([][]event.ID, k)
+	n := int32(len(sc.bits))
+	var counts [idBits]int
+	sc.sigs = sc.sigs[:0]
 	for i := 0; i < k; i++ {
 		lo, hi := segmentBounds(role, pos, i, n)
-		sigs[i] = sc.cycleSig(lo, hi)
-	}
-
-	// Majority set: IDs present in at least half the cycles (>= not >:
-	// a stream chunk's prefetch is absent from the final chunks, landing
-	// in exactly half the cycles of a 4-chunk partition) — but always at
-	// least two, so a 2-occurrence candidate's majority is the sigs'
-	// intersection rather than their union.
-	counts := make(map[event.ID]int)
-	for _, sig := range sigs {
-		for _, id := range sig {
-			counts[id]++
+		var sig uint64
+		for _, b := range sc.bits[lo : hi+1] {
+			sig |= b
+		}
+		sc.sigs = append(sc.sigs, sig)
+		for m := sig; m != 0; m &= m - 1 {
+			counts[bits.TrailingZeros64(m)]++
 		}
 	}
-	var maj []event.ID
-	for id, c := range counts {
-		if c >= 2 && c*2 >= k {
-			maj = append(maj, id)
-		}
-	}
-	sort.Slice(maj, func(i, j int) bool { return maj[i] < maj[j] })
+	maj := majority(&counts, k)
 
-	jacs := make([]float64, k)
-	for i, sig := range sigs {
-		jacs[i] = jaccard(sig, maj)
+	sc.jacs = sc.jacs[:0]
+	for _, sig := range sc.sigs {
+		sc.jacs = append(sc.jacs, jaccard(sig, maj))
 	}
+	jacs := sc.jacs
 
 	// Trim deviant boundary cycles into startup/drain. Trimming may go
 	// below MinCycles (a taskfarm worker that claimed one task plus the
@@ -467,11 +485,12 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 	// Duration regularity. Boundary cycles legitimately run long or
 	// short (a pipeline's first block waits for the pipe to fill), so
 	// with enough cycles the CV is taken over the middle ones only.
-	walls := make([]float64, 0, kept)
+	sc.walls = sc.walls[:0]
 	for i := front; i < k-back; i++ {
 		lo, hi := segmentBounds(role, pos, i, n)
-		walls = append(walls, float64(sc.global[hi]-sc.global[lo]))
+		sc.walls = append(sc.walls, float64(sc.global[hi]-sc.global[lo]))
 	}
+	walls := sc.walls
 	if len(walls) >= 4 {
 		walls = walls[1 : len(walls)-1]
 	}
@@ -499,13 +518,9 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 	// Variety: the majority set's share of the run's distinct IDs.
 	variety := 1.0
 	if sc.distinct > 0 {
-		variety = float64(len(maj)) / float64(sc.distinct)
+		variety = float64(bits.OnesCount64(maj)) / float64(sc.distinct)
 	}
 
-	hashes := make([]uint64, k)
-	for i, sig := range sigs {
-		hashes[i] = sigHash(sig)
-	}
 	return candidate{
 		id:       id,
 		role:     role,
@@ -515,40 +530,45 @@ func (sc *scratch) evaluate(id event.ID, pos []int32, role int, opt Options) can
 		kept:     kept,
 		firstRow: loRow,
 		pos:      pos,
-		sigs:     hashes,
+		sigs:     sc.sigs,
 	}
 }
 
-// jaccard computes |a∩b| / |a∪b| over two sorted ID slices; two empty
-// sets are identical (similarity 1).
-func jaccard(a, b []event.ID) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+// majority returns the majority set: IDs present in at least half of
+// the k cycles (>= not >: a stream chunk's prefetch is absent from the
+// final chunks, landing in exactly half the cycles of a 4-chunk
+// partition) — but always in at least two, so a 2-occurrence
+// candidate's majority is the signatures' intersection rather than their
+// union. counts holds, per ID, the number of cycles containing it.
+func majority(counts *[idBits]int, k int) uint64 {
+	var maj uint64
+	for id, c := range counts {
+		if c >= 2 && c*2 >= k {
+			maj |= 1 << id
 		}
 	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
+	return maj
 }
 
-// sigHash is FNV-1a over the sorted distinct ID set.
-func sigHash(sig []event.ID) uint64 {
+// jaccard computes |a∩b| / |a∪b| over two signature masks; two empty
+// sets are identical (similarity 1).
+func jaccard(a, b uint64) float64 {
+	union := bits.OnesCount64(a | b)
+	if union == 0 {
+		return 1
+	}
+	return float64(bits.OnesCount64(a&b)) / float64(union)
+}
+
+// sigHash is FNV-1a over the signature's IDs in ascending order, two
+// little-endian bytes each.
+func sigHash(sig uint64) uint64 {
 	h := uint64(14695981039346656037)
-	for _, id := range sig {
-		h ^= uint64(id) & 0xff
+	for ; sig != 0; sig &= sig - 1 {
+		id := uint64(bits.TrailingZeros64(sig))
+		h ^= id & 0xff
 		h *= 1099511628211
-		h ^= uint64(id) >> 8
+		h ^= id >> 8
 		h *= 1099511628211
 	}
 	return h
@@ -572,7 +592,7 @@ func buildCycles(tr *analyzer.Trace, run int, seqs []int32, best candidate) []Cy
 			End:      end,
 			Events:   int(hi - lo + 1),
 			Wall:     end - start,
-			Sig:      best.sigs[ci],
+			Sig:      sigHash(best.sigs[ci]),
 		}
 	}
 

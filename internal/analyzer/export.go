@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 
 	"github.com/celltrace/pdt/internal/core/event"
 )
@@ -186,38 +188,81 @@ func WriteGapsJSON(minTicks uint64, gaps []Gap, w io.Writer) error {
 	return enc.Encode(&out)
 }
 
-// jsonPathSegment is the JSON shape of one critical-path hop.
-type jsonPathSegment struct {
-	Core      string `json:"core"`
-	Run       int    `json:"run"`
-	StartTick uint64 `json:"startTick"`
-	EndTick   uint64 `json:"endTick"`
-	Ticks     uint64 `json:"ticks"`
-	Via       string `json:"via"`
-	Cross     bool   `json:"cross"`
+// WriteCriticalPathJSON exports an already-computed critical path as
+// JSON, served by pdt-tad's /v1/critpath endpoint. The bytes are exactly
+// what encoding/json's indented encoder produces for the
+// {totalTicks, coreTicks, segments} object (map keys sorted, trailing
+// newline), appended into one presized buffer and written once.
+func WriteCriticalPathJSON(cp *CriticalPath, w io.Writer) error {
+	type coreTicks struct {
+		name  string
+		ticks uint64
+	}
+	cores := make([]coreTicks, 0, len(cp.CoreTicks))
+	for c, t := range cp.CoreTicks {
+		cores = append(cores, coreTicks{event.CoreName(c), t})
+	}
+	slices.SortFunc(cores, func(a, b coreTicks) int { return strings.Compare(a.name, b.name) })
+
+	// A segment renders in about 170 bytes at realistic tick values.
+	b := make([]byte, 0, 64+32*len(cores)+192*len(cp.Segments))
+	b = append(b, "{\n  \"totalTicks\": "...)
+	b = strconv.AppendUint(b, cp.Total, 10)
+	b = append(b, ",\n  \"coreTicks\": {"...)
+	for i, c := range cores {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    "...)
+		b = appendJSONString(b, c.name)
+		b = append(b, ": "...)
+		b = strconv.AppendUint(b, c.ticks, 10)
+	}
+	if len(cores) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "},\n  \"segments\": ["...)
+	for i, s := range cp.Segments {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"core\": "...)
+		b = appendJSONString(b, event.CoreName(s.Core))
+		b = append(b, ",\n      \"run\": "...)
+		b = strconv.AppendInt(b, int64(s.Run), 10)
+		b = append(b, ",\n      \"startTick\": "...)
+		b = strconv.AppendUint(b, s.Start, 10)
+		b = append(b, ",\n      \"endTick\": "...)
+		b = strconv.AppendUint(b, s.End, 10)
+		b = append(b, ",\n      \"ticks\": "...)
+		b = strconv.AppendUint(b, s.Dur(), 10)
+		b = append(b, ",\n      \"via\": "...)
+		b = appendJSONString(b, s.Via.String())
+		b = append(b, ",\n      \"cross\": "...)
+		b = strconv.AppendBool(b, s.Cross)
+		b = append(b, "\n    }"...)
+	}
+	if len(cp.Segments) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "]\n}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
-// WriteCriticalPathJSON exports an already-computed critical path as
-// JSON, served by pdt-tad's /v1/critpath endpoint.
-func WriteCriticalPathJSON(cp *CriticalPath, w io.Writer) error {
-	out := struct {
-		TotalTicks uint64            `json:"totalTicks"`
-		CoreTicks  map[string]uint64 `json:"coreTicks"`
-		Segments   []jsonPathSegment `json:"segments"`
-	}{TotalTicks: cp.Total, CoreTicks: map[string]uint64{}, Segments: []jsonPathSegment{}}
-	for c, t := range cp.CoreTicks {
-		out.CoreTicks[event.CoreName(c)] = t
+// appendJSONString appends s as a JSON string literal, escaped exactly
+// as encoding/json escapes it (HTML characters included). Plain ASCII
+// is copied directly; anything else goes through json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	for _, s := range cp.Segments {
-		out.Segments = append(out.Segments, jsonPathSegment{
-			Core: event.CoreName(s.Core), Run: s.Run,
-			StartTick: s.Start, EndTick: s.End, Ticks: s.Dur(),
-			Via: s.Via.String(), Cross: s.Cross,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&out)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Report renders the human-readable summary the pdt-ta CLI prints.

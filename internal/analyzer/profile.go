@@ -32,10 +32,10 @@ var (
 )
 
 func init() {
-	n := int(event.NumIDs())
+	n := int(event.MaxID)
 	kindOf = make([]event.Kind, n)
 	pairOf = make([]event.ID, n)
-	for id := event.ID(1); id < event.NumIDs(); id++ {
+	for id := event.ID(1); id < event.MaxID; id++ {
 		if info, ok := event.Lookup(id); ok {
 			kindOf[id] = info.Kind
 			pairOf[id] = info.Pair

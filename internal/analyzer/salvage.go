@@ -65,7 +65,11 @@ func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
 	}
 	total := float64(tr.NumEvents())
 
-	lost := map[uint8]float64{}
+	// Losses are summed in a fixed order (drops as listed, then salvage
+	// damage by ascending core): float addition is not associative, so
+	// summing in map order would let the same bytes report different
+	// confidences.
+	var lost [256]float64
 	var lostTotal float64
 	for _, d := range tr.Meta.Drops {
 		lost[uint8(d.SPE)] += float64(d.Count)
@@ -76,8 +80,8 @@ func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
 		if rep.RecordsRecovered > 0 && rep.BytesRecovered > 0 {
 			avg = float64(rep.BytesRecovered) / float64(rep.RecordsRecovered)
 		}
-		for core, cs := range rep.PerCore {
-			if cs.BytesDamaged > 0 {
+		for core := range lost {
+			if cs := rep.PerCore[uint8(core)]; cs != nil && cs.BytesDamaged > 0 {
 				est := float64(cs.BytesDamaged) / avg
 				lost[core] += est
 				lostTotal += est
@@ -100,13 +104,13 @@ func computeConfidence(tr *Trace, rep *traceio.SalvageReport) Confidence {
 			continue
 		}
 		c.PerCore[uint8(core)] = 1
-		if l := lost[uint8(core)]; l > 0 {
+		if l := lost[core]; l > 0 {
 			c.PerCore[uint8(core)] = n / (n + l)
 		}
 	}
 	for core, l := range lost {
 		if got[core] == 0 && l > 0 {
-			c.PerCore[core] = 0 // everything this core produced is gone
+			c.PerCore[uint8(core)] = 0 // everything this core produced is gone
 		}
 	}
 	return c

@@ -172,7 +172,8 @@ const (
 	// any run existed. args: spe, timebase, loaded; payload: program.
 	LiveAnchor
 
-	maxID
+	// MaxID is the exclusive upper bound of valid IDs.
+	MaxID
 )
 
 // Info describes one event type.
@@ -187,7 +188,7 @@ type Info struct {
 }
 
 // table is indexed by ID.
-var table = [maxID]Info{
+var table = [MaxID]Info{
 	SPEProgramStart: {Name: "SPE_PROGRAM_START", Group: GroupLifecycle, Kind: KindPoint, Args: []string{"nameRef"}},
 	SPEProgramEnd:   {Name: "SPE_PROGRAM_END", Group: GroupLifecycle, Kind: KindPoint, Args: []string{"exitCode"}},
 
@@ -254,7 +255,7 @@ var table = [maxID]Info{
 }
 
 func init() {
-	for id := ID(1); id < maxID; id++ {
+	for id := ID(1); id < MaxID; id++ {
 		table[id].ID = id
 		if table[id].Name == "" {
 			panic(fmt.Sprintf("event: missing metadata for ID %d", id))
@@ -264,7 +265,7 @@ func init() {
 
 // Lookup returns the metadata for id; ok is false for unknown IDs.
 func Lookup(id ID) (Info, bool) {
-	if id == idInvalid || id >= maxID {
+	if id == idInvalid || id >= MaxID {
 		return Info{}, false
 	}
 	return table[id], true
@@ -281,7 +282,7 @@ func MustLookup(id ID) Info {
 
 // ByName resolves an event name (as in configuration files).
 func ByName(name string) (Info, bool) {
-	for id := ID(1); id < maxID; id++ {
+	for id := ID(1); id < MaxID; id++ {
 		if table[id].Name == name {
 			return table[id], true
 		}
@@ -291,15 +292,12 @@ func ByName(name string) (Info, bool) {
 
 // All returns metadata for every defined event, in ID order.
 func All() []Info {
-	out := make([]Info, 0, int(maxID)-1)
-	for id := ID(1); id < maxID; id++ {
+	out := make([]Info, 0, int(MaxID)-1)
+	for id := ID(1); id < MaxID; id++ {
 		out = append(out, table[id])
 	}
 	return out
 }
-
-// NumIDs returns the exclusive upper bound of valid IDs.
-func NumIDs() ID { return maxID }
 
 func (id ID) String() string {
 	if info, ok := Lookup(id); ok {

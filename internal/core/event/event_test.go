@@ -58,8 +58,8 @@ func TestLookupBounds(t *testing.T) {
 	if _, ok := Lookup(0); ok {
 		t.Fatal("Lookup(0) succeeded")
 	}
-	if _, ok := Lookup(NumIDs()); ok {
-		t.Fatal("Lookup(maxID) succeeded")
+	if _, ok := Lookup(MaxID); ok {
+		t.Fatal("Lookup(MaxID) succeeded")
 	}
 	if _, ok := Lookup(SPEMFCGet); !ok {
 		t.Fatal("Lookup(SPEMFCGet) failed")

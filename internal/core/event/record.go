@@ -16,15 +16,23 @@ const (
 )
 
 // CoreName renders a core byte for humans: "SPE3", "PPE", "PPE.1", ...
-func CoreName(c uint8) string {
-	if c < CorePPEBase {
-		return fmt.Sprintf("SPE%d", c)
+func CoreName(c uint8) string { return coreNames[c] }
+
+// coreNames is CoreName for every core byte, precomputed: renderers
+// name a core once per output row.
+var coreNames = func() (t [256]string) {
+	for c := range t {
+		switch {
+		case c < CorePPEBase:
+			t[c] = fmt.Sprintf("SPE%d", c)
+		case c == CorePPE:
+			t[c] = "PPE"
+		default:
+			t[c] = fmt.Sprintf("PPE.%d", CorePPE-c)
+		}
 	}
-	if c == CorePPE {
-		return "PPE"
-	}
-	return fmt.Sprintf("PPE.%d", CorePPE-c)
-}
+	return t
+}()
 
 // Record flags.
 const (
@@ -179,7 +187,7 @@ func DecodeNext(dst *Record, buf []byte, arena []uint64) (int, []uint64, error) 
 	// Metadata via pointer, not Lookup: copying the Info struct per
 	// record is measurable in bulk decode, and only the arity and (on
 	// the error paths) the name are needed.
-	if id == idInvalid || id >= maxID {
+	if id == idInvalid || id >= MaxID {
 		return 0, arena, fmt.Errorf("event: unknown event ID %d", id)
 	}
 	info := &table[id]

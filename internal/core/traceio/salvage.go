@@ -335,8 +335,11 @@ func salvageChunkAt(data []byte, off, chdr int, f *File, rep *SalvageReport, syn
 
 // decodablePrefix returns how many records decode from the front of data
 // and the byte length of that structurally sound prefix (zero padding runs
-// included, a trailing partial record excluded).
+// included, a trailing partial record excluded). The decoded records are
+// discarded, so every one lands in the same Record and argument arena.
 func decodablePrefix(data []byte) (recs, n int) {
+	var rec event.Record
+	var arena [8]uint64 // beyond any event's arity
 	off := 0
 	for off < len(data) {
 		if data[off] == 0 {
@@ -347,7 +350,7 @@ func decodablePrefix(data []byte) (recs, n int) {
 			off = z
 			continue
 		}
-		_, sz, err := event.Decode(data[off:])
+		sz, _, err := event.DecodeNext(&rec, data[off:], arena[:0])
 		if err != nil {
 			return recs, off
 		}

@@ -1,7 +1,8 @@
 // benchcheck is the benchmark regression gate: it runs the committed
 // reference benchmarks (trace load, structural validation, interval
-// profile, critical path, gap hunting, trace differencing, cycle
-// detection, align-mode cycle diffing, end-to-end TAD summary) with
+// profile, critical path and its JSON writer, gap hunting, trace
+// differencing, cycle detection, align-mode cycle diffing, doctor,
+// end-to-end TAD summary) with
 // -benchmem, parses the ns/op, B/op and allocs/op figures, and compares
 // all three against BENCH_baseline.json. A result more than -tolerance
 // worse than its baseline entry on any metric fails the run; a package
@@ -36,7 +37,7 @@ type suite struct {
 // lives in the repo-root package; BenchmarkTADSummary is the service's
 // end-to-end request path.
 var suites = []suite{
-	{".", "^(BenchmarkLoadLargeTrace|BenchmarkLoadStream|BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace)$"},
+	{".", "^(BenchmarkLoadLargeTrace|BenchmarkLoadStream|BenchmarkValidateLargeTrace|BenchmarkProfileLargeTrace|BenchmarkCritPathLargeTrace|BenchmarkGapsLargeTrace|BenchmarkDiffLargeTrace|BenchmarkCyclesLargeTrace|BenchmarkDiffAlignLargeTrace|BenchmarkCritPathJSONLargeTrace|BenchmarkDoctorLargeTrace)$"},
 	{"./cmd/pdt-tad", "^BenchmarkTADSummary$"},
 }
 
